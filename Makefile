@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEvidenceSignature -fuzztime 10s ./internal/cache
 	$(GO) test -run xxx -fuzz FuzzKernelBlockedVsScalar -fuzztime 10s ./internal/potential
 	$(GO) test -run xxx -fuzz FuzzLazyVsEager -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzAutoPlanVsSerial -fuzztime 10s ./internal/sched
 
 # Smoke-test the Chrome trace export: one traced propagation, written as
 # trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).

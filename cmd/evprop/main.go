@@ -36,7 +36,7 @@ func main() {
 		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, serial, levelsync, dataparallel, centralized")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		noReroot  = flag.Bool("no-reroot", false, "disable critical-path rerooting (Algorithm 1)")
-		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = auto, <0 = off)")
+		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = automatic partition plan, <0 = off)")
 		mpe       = flag.Bool("mpe", false, "also report the most probable explanation")
 		approx    = flag.String("approx", "", "use approximate inference: lw (likelihood weighting) or gibbs")
 		samples   = flag.Int("samples", 20000, "sample count for -approx")

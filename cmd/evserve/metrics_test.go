@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"evprop"
+	"evprop/internal/obs"
 )
 
 // TestStatsFreshServer pins the observed == 0 guard: a stats scrape before
@@ -186,5 +187,59 @@ func TestPprofGating(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("pprof index with -pprof: status %d", resp2.StatusCode)
+	}
+}
+
+// TestPartitionPlanExposed checks that /v1/stats and /v1/metrics say which
+// partition plan is in force and how many tasks it may split, so a
+// partitions counter of 0 on a small model reads as the plan's choice: the
+// automatic plan splits nothing on Asia's 4–8-entry tables, while an
+// explicit δ follows the paper's rule and splits every larger task.
+func TestPartitionPlanExposed(t *testing.T) {
+	ts := testServer(t)
+	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
+	s := statsSnapshot(t, ts)
+	if want := (evprop.PartitionPlan{Mode: "auto"}); s.PartitionPlan != want {
+		t.Errorf("auto partition_plan = %+v, want %+v", s.PartitionPlan, want)
+	}
+	for _, w := range s.Gauges.Workers {
+		if w.Partitions != 0 {
+			t.Errorf("a worker partitioned %d tasks under a plan that splits none", w.Partitions)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`evprop_sched_partition_plan_info{delta="0",mode="auto"} 1`,
+		"evprop_sched_partition_splittable_tasks 0",
+		"evprop_sched_partitions_total 0",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	if problems := obs.LintExposition(bytes.NewReader(body)); len(problems) != 0 {
+		t.Errorf("exposition lint: %v", problems)
+	}
+
+	explicit, _ := testServerFull(t, evprop.Options{Workers: 2, PartitionThreshold: 2})
+	post(t, explicit.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
+	s = statsSnapshot(t, explicit)
+	if p := s.PartitionPlan; p.Mode != "explicit" || p.Delta != 2 || p.SplittableTasks == 0 {
+		t.Errorf("explicit partition_plan = %+v, want mode explicit, delta 2, splittable > 0", p)
+	}
+	parts := int64(0)
+	for _, w := range s.Gauges.Workers {
+		parts += w.Partitions
+	}
+	if parts == 0 {
+		t.Error("explicit δ = 2 partitioned no task")
 	}
 }

@@ -564,6 +564,10 @@ type statsResponse struct {
 	// scheduling fraction of total worker time).
 	LoadBalance       float64 `json:"load_balance"`
 	SchedOverheadFrac float64 `json:"sched_overhead_fraction"`
+	// PartitionPlan is the default model's δ-partition plan: its mode and
+	// how many tasks it allows to split, which explains a partitions
+	// counter that stays 0 on a model with small tables.
+	PartitionPlan evprop.PartitionPlan `json:"partition_plan"`
 	// Window covers only the last 60 seconds of traffic, where the fields
 	// above aggregate over the whole process lifetime.
 	Window windowStats `json:"window"`
@@ -719,6 +723,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Observed:          h.Count(),
 		LoadBalance:       sr.LastLoadBalance,
 		SchedOverheadFrac: sr.LastOverheadFraction,
+		PartitionPlan:     sr.Plan,
 		Window:            s.windowStats(),
 		Cache:             s.cacheStats(),
 		Gauges:            eng.SchedulerGauges(),

@@ -27,6 +27,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -168,9 +169,13 @@ type Options struct {
 	// Reroot applies the paper's Algorithm 1 to minimize the parallel
 	// critical path (default true; set DisableReroot to turn off).
 	DisableReroot bool
-	// PartitionThreshold is δ: potential-table operations over more
-	// entries than this are split across workers. 0 selects an automatic
-	// threshold; negative disables partitioning.
+	// PartitionThreshold is δ: a positive value applies the paper's rule,
+	// splitting every potential-table operation over more entries than δ
+	// across workers. 0 selects the automatic partition plan, computed once
+	// per compiled model: an operation is split only when every piece
+	// carries enough entries to pay for its dispatch, and a marginalization
+	// only when its separator is small against its clique — so models with
+	// small tables are never partitioned. Negative disables partitioning.
 	PartitionThreshold int
 	// DisableFlightRecorder turns off the always-on flight recorder (see
 	// Engine.RecentQueries); useful only for micro-benchmarking its cost.
@@ -366,6 +371,23 @@ type SchedulerReport struct {
 	// BusyByKind splits lifetime computation time across the four
 	// node-level primitives.
 	BusyByKind map[string]time.Duration
+	// Plan describes the partition plan the propagation graph follows, so
+	// a Partitioned count of 0 can be told apart from a broken Partition
+	// module: on a model whose tables are all too small to pay for
+	// splitting, the automatic plan allows no task to split.
+	Plan PartitionPlan
+}
+
+// PartitionPlan summarizes an engine's δ-partition plan.
+type PartitionPlan struct {
+	// Mode is "auto" (PartitionThreshold 0, the automatic plan),
+	// "explicit" (a positive δ, the paper's rule) or "off".
+	Mode string `json:"mode"`
+	// Delta is the explicit δ, 0 in the other modes.
+	Delta int `json:"delta"`
+	// SplittableTasks counts the propagation graph's tasks the plan allows
+	// to split at the compiled model's table sizes.
+	SplittableTasks int `json:"splittable_tasks"`
 }
 
 // SchedulerReport returns the engine's aggregated observability report.
@@ -392,7 +414,21 @@ func (e *Engine) SchedulerReport() SchedulerReport {
 	for k, name := range obs.KindNames {
 		r.BusyByKind[name] = s.KindBusy[k]
 	}
+	r.Plan = e.partitionPlan()
 	return r
+}
+
+// partitionPlan summarizes the engine's partition plan.
+func (e *Engine) partitionPlan() PartitionPlan {
+	p := e.inner.PartitionPlan()
+	switch {
+	case p == nil:
+		return PartitionPlan{Mode: "off"}
+	case p.Auto():
+		return PartitionPlan{Mode: "auto", SplittableTasks: p.Splittable}
+	default:
+		return PartitionPlan{Mode: "explicit", Delta: p.Delta, SplittableTasks: p.Splittable}
+	}
 }
 
 // WriteSchedulerMetrics writes the engine's aggregated scheduler
@@ -404,6 +440,11 @@ func (e *Engine) WriteSchedulerMetrics(w io.Writer, prefix string) {
 		return
 	}
 	e.inner.ObsSnapshot().WritePrometheus(w, prefix)
+	p := e.partitionPlan()
+	obs.WriteHeader(w, prefix+"_partition_plan_info", "Partition plan in force: mode auto, explicit or off, with the explicit delta.", "gauge")
+	obs.WriteSample(w, prefix+"_partition_plan_info", map[string]string{"mode": p.Mode, "delta": strconv.Itoa(p.Delta)}, 1)
+	obs.WriteHeader(w, prefix+"_partition_splittable_tasks", "Propagation-graph tasks the partition plan allows to split.", "gauge")
+	obs.WriteSample(w, prefix+"_partition_splittable_tasks", nil, float64(p.SplittableTasks))
 }
 
 // WorkerGauges is one scheduler worker's live gauges at a sampling instant:
@@ -492,22 +533,6 @@ func (n *Network) Compile(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	threshold := opts.PartitionThreshold
-	switch {
-	case threshold < 0:
-		threshold = 0 // disabled
-	case threshold == 0:
-		// Automatic δ: twice the mean clique table size, so only the
-		// heavyweight operations split — rounded up to a whole cache line
-		// of entries (64 bytes), matching the minimum piece granularity
-		// the schedulers snap to.
-		total := 0
-		for i := range tree.Cliques {
-			total += tree.Cliques[i].TableSize()
-		}
-		threshold = 2 * total / tree.N()
-		threshold = (threshold + 7) / 8 * 8
-	}
 	var recorder *obs.FlightRecorder
 	if !opts.DisableFlightRecorder {
 		recorder = obs.NewFlightRecorder(opts.FlightRecorderSize, opts.SlowQueryThreshold)
@@ -516,7 +541,7 @@ func (n *Network) Compile(opts Options) (*Engine, error) {
 		Workers:            opts.Workers,
 		Scheduler:          s,
 		Reroot:             !opts.DisableReroot,
-		PartitionThreshold: threshold,
+		PartitionThreshold: opts.PartitionThreshold,
 		Recorder:           recorder,
 		CacheSize:          opts.CacheSize,
 		PprofLabels:        opts.PprofLabels,

@@ -88,9 +88,15 @@ type Options struct {
 	// minimizing the propagation critical path (default off; turn on for
 	// parallel runs).
 	Reroot bool
-	// PartitionThreshold is δ: tasks over tables larger than this many
-	// entries are split by the collaborative scheduler's Partition module.
-	// 0 disables partitioning.
+	// PartitionThreshold selects how the collaborative and work-stealing
+	// schedulers' Partition module splits tasks. A positive δ applies the
+	// paper's rule: every task over a table larger than δ entries is split
+	// into pieces of δ snapped to its kernel grain. 0 (the default) builds
+	// a per-task partition plan once per graph (taskgraph.Graph.PlanAuto):
+	// a task is split only when every piece carries at least
+	// taskgraph.MinPiece entries, and a Marginalize only when its private
+	// separator buffers cost at most half the entries its pieces process.
+	// Negative disables partitioning.
 	PartitionThreshold int
 	// CacheSize, when positive, enables the shared-evidence result cache:
 	// an LRU of this many completed propagation results keyed by the
@@ -220,6 +226,9 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 	if err := e.graph.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.PartitionThreshold == 0 {
+		e.graph.PlanAuto()
+	}
 	if opts.Lazy {
 		lp, err := lazy.New(e.tree, e.graph)
 		if err != nil {
@@ -279,6 +288,12 @@ func (e *Engine) Tree() *jtree.Tree { return e.tree }
 
 // Graph returns the engine's task dependency graph.
 func (e *Engine) Graph() *taskgraph.Graph { return e.graph }
+
+// PartitionPlan returns the partition plan the engine's full propagation
+// graph follows, nil when partitioning is disabled.
+func (e *Engine) PartitionPlan() *taskgraph.Plan {
+	return e.graph.PartitionPlan(e.opts.PartitionThreshold)
+}
 
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
@@ -709,6 +724,9 @@ func (e *Engine) collectEntryFor(ci int) (*collectEntry, error) {
 		return nil, err
 	}
 	entry := &collectEntry{g: taskgraph.BuildCollectOnly(rt)}
+	if e.opts.PartitionThreshold == 0 {
+		entry.g.PlanAuto()
+	}
 	if e.collectGraphs == nil {
 		e.collectGraphs = map[int]*collectEntry{}
 	}

@@ -215,6 +215,11 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 			dep(lastCU, pl.edges[c].cm)
 		}
 	}
+	// Pruned graphs follow the full graph's automatic partition plan, if
+	// the engine attached one.
+	if p.full.PartitionPlan(0) != nil {
+		g.PlanAuto()
+	}
 	pl.g = g
 	return pl
 }

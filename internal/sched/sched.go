@@ -7,11 +7,12 @@
 //     each task that reaches degree zero onto the local ready list with the
 //     smallest weight counter (load balancing);
 //   - Fetch: the worker pops the head of its own local ready list;
-//   - Partition: a fetched task whose potential table exceeds the threshold
-//     δ is split into subtasks T̂1…T̂n over disjoint index ranges — T̂1 runs
-//     inline, T̂2…T̂n−1 are spread evenly across the local lists, and the
-//     combining subtask T̂n (which inherits T's successors) fires once all
-//     pieces complete;
+//   - Partition: a fetched task the graph's partition plan splits (the
+//     paper's rule: its potential table exceeds the threshold δ) becomes
+//     subtasks T̂1…T̂n over disjoint index ranges — T̂1 runs inline,
+//     T̂2…T̂n−1 are spread evenly across the local lists, and the combining
+//     subtask T̂n (which inherits T's successors) fires once all pieces
+//     complete;
 //   - Execute: the node-level primitive (or piece of one) runs.
 //
 // There is no dedicated scheduler thread — scheduling work is performed
@@ -43,9 +44,13 @@ type Options struct {
 	// Workers is the number of worker goroutines P (≥1). Pool.Run ignores
 	// it in favor of the pool's own size.
 	Workers int
-	// Threshold is δ: a task whose partitionable table has more entries
-	// than this is split. 0 disables task partitioning (as in the paper's
-	// Fig. 5 experiments).
+	// Threshold is δ. A positive δ applies the paper's rule: a task whose
+	// partitionable table has more entries than δ is split into pieces of
+	// δ snapped to its kernel grain. 0 follows the automatic plan the
+	// graph's builder attached (taskgraph.Graph.PlanAuto), which splits
+	// only where pieces are large enough to pay for their dispatch; a
+	// graph without one is never partitioned (as in the paper's Fig. 5
+	// experiments). Negative disables partitioning.
 	Threshold int
 	// Trace records a per-worker execution timeline in Metrics.Trace
 	// (small constant overhead per executed item).
@@ -93,7 +98,7 @@ type Metrics struct {
 	Workers   []WorkerMetrics
 	Elapsed   time.Duration
 	Tasks     int // original graph tasks completed
-	Pieces    int // partitioned pieces executed (0 when Threshold == 0)
+	Pieces    int // partitioned pieces executed
 	Partition int // tasks that were partitioned
 	Steals    int // items taken from another worker's list (stealing only)
 	// Trace is the execution timeline (nil unless Options.Trace).
@@ -127,7 +132,7 @@ type combiner struct {
 type localList struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	items   []item
+	items   ring
 	stopped bool
 	g       *workerGauges // owning worker's gauge slot (never nil)
 }
@@ -140,7 +145,7 @@ func newLocalList(g *workerGauges) *localList {
 
 func (l *localList) push(it item) {
 	l.mu.Lock()
-	l.items = append(l.items, it)
+	l.items.pushBack(it)
 	l.g.llAdd(1, it.weight)
 	l.mu.Unlock()
 	l.cond.Signal()
@@ -157,9 +162,8 @@ func (l *localList) fetch(g *workerGauges) (item, bool, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
-		if len(l.items) > 0 {
-			it := l.items[0]
-			l.items = l.items[1:]
+		if l.items.len() > 0 {
+			it := l.items.popFront()
 			l.g.llAdd(-1, -it.weight)
 			return it, true, waited
 		}
@@ -404,9 +408,7 @@ func (r *run) process(w int, it item) {
 		r.runPiece(w, it)
 	default:
 		// Lines 12–18: partition large tasks, execute small ones whole.
-		size := r.st.PartitionSize(it.task)
-		if r.opts.Threshold > 0 && size > r.opts.Threshold {
-			r.partition(w, it.task, size)
+		if r.partition(w, it.task, r.st.PartitionSize(it.task)) {
 			return
 		}
 		kind := r.g.Tasks[it.task].Kind
@@ -427,13 +429,16 @@ func (r *run) process(w int, it item) {
 	}
 }
 
-// partition splits task id into pieces of a snapped step ≥ δ (line 13): the
+// partition splits task id, whose range spans size entries, into the
+// pieces its partition plan sets (line 13) and reports whether it did: the
 // first piece runs inline, the rest are spread evenly over the local lists,
 // and a combiner item fires when the last piece finishes.
-func (r *run) partition(w int, id, size int) {
+func (r *run) partition(w int, id, size int) bool {
+	n, step := r.g.PartitionPlan(r.opts.Threshold).Split(id, size)
+	if n == 0 {
+		return false
+	}
 	tPart := time.Now()
-	step := snapStep(r.opts.Threshold, r.g.Tasks[id].Grain)
-	n := (size + step - 1) / step
 	comb := &combiner{task: id, pending: int32(n)}
 	atomic.AddInt64(&r.parted, 1)
 	r.gauges.worker(w).partitions.Add(1)
@@ -456,29 +461,7 @@ func (r *run) partition(w int, id, size int) {
 	}
 	r.metrics[w].Overhead += time.Since(tPart)
 	r.runPiece(w, first)
-}
-
-// cacheLineEntries is one 64-byte cache line of float64 table entries, the
-// minimum useful piece granularity: a split inside a line makes two workers
-// touch (and for Multiply/Divide, write) the same line.
-const cacheLineEntries = 8
-
-// snapStep rounds the partition threshold δ up to the piece length actually
-// used: a multiple of the task's kernel grain (so split points land on run
-// boundaries of the blocked kernels — each piece then pays one O(w) seek and
-// no two pieces reduce into the same destination cell) that also spans at
-// least one cache line. Tasks with sub-line grains keep run alignment — the
-// bumped grain is a multiple of the original — while tasks whose grain
-// already exceeds a line are left on pure run boundaries.
-func snapStep(δ, grain int) int {
-	g := grain
-	if g < 1 {
-		g = 1
-	}
-	if g < cacheLineEntries {
-		g *= (cacheLineEntries + g - 1) / g
-	}
-	return (δ + g - 1) / g * g
+	return true
 }
 
 // pieceWeight prorates a task's weight over a piece's span, so the snapped

@@ -35,7 +35,7 @@ func RunStealing(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		g:         g,
 		opts:      opts,
 		deps:      g.DepCounts(),
-		lists:     make([][]item, opts.Workers),
+		lists:     make([]ring, opts.Workers),
 		weights:   make([]int64, opts.Workers),
 		remaining: int64(g.N()),
 		metrics:   make([]WorkerMetrics, opts.Workers),
@@ -97,7 +97,7 @@ type stealRun struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	lists   [][]item
+	lists   []ring
 	weights []int64
 	done    bool
 
@@ -129,7 +129,7 @@ func (r *stealRun) item(id int) item {
 // push appends under the shared lock and wakes one sleeper.
 func (r *stealRun) push(w int, it item) {
 	r.mu.Lock()
-	r.lists[w] = append(r.lists[w], it)
+	r.lists[w].pushBack(it)
 	r.weights[w] += it.weight
 	r.gauges.worker(w).llAdd(1, it.weight)
 	r.mu.Unlock()
@@ -146,9 +146,8 @@ func (r *stealRun) fetch(w int) (item, bool, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if len(r.lists[w]) > 0 {
-			it := r.lists[w][0]
-			r.lists[w] = r.lists[w][1:]
+		if r.lists[w].len() > 0 {
+			it := r.lists[w].popFront()
 			r.weights[w] -= it.weight
 			self.llAdd(-1, -it.weight)
 			return it, true, waited
@@ -159,14 +158,12 @@ func (r *stealRun) fetch(w int) (item, bool, bool) {
 		self.stealAttempts.Add(1)
 		victim, best := -1, int64(0)
 		for v := range r.lists {
-			if v != w && len(r.lists[v]) > 0 && r.weights[v] > best {
+			if v != w && r.lists[v].len() > 0 && r.weights[v] > best {
 				victim, best = v, r.weights[v]
 			}
 		}
 		if victim >= 0 {
-			n := len(r.lists[victim])
-			it := r.lists[victim][n-1]
-			r.lists[victim] = r.lists[victim][:n-1]
+			it := r.lists[victim].popBack()
 			r.weights[victim] -= it.weight
 			r.gauges.worker(victim).llAdd(-1, -it.weight)
 			self.steals.Add(1)
@@ -266,9 +263,7 @@ func (r *stealRun) process(w int, it item) {
 			r.process(w, item{task: c.task, comb: c, isComb: true})
 		}
 	default:
-		size := r.st.PartitionSize(it.task)
-		if r.opts.Threshold > 0 && size > r.opts.Threshold {
-			r.partition(w, it.task, size)
+		if r.partition(w, it.task, r.st.PartitionSize(it.task)) {
 			return
 		}
 		kind := r.g.Tasks[it.task].Kind
@@ -288,9 +283,13 @@ func (r *stealRun) process(w int, it item) {
 	}
 }
 
-func (r *stealRun) partition(w int, id, size int) {
-	step := snapStep(r.opts.Threshold, r.g.Tasks[id].Grain)
-	n := (size + step - 1) / step
+// partition splits task id into the pieces its partition plan sets and
+// reports whether it did; the first piece runs inline.
+func (r *stealRun) partition(w int, id, size int) bool {
+	n, step := r.g.PartitionPlan(r.opts.Threshold).Split(id, size)
+	if n == 0 {
+		return false
+	}
 	comb := &combiner{task: id, pending: int32(n)}
 	atomic.AddInt64(&r.parted, 1)
 	r.gauges.worker(w).partitions.Add(1)
@@ -311,6 +310,7 @@ func (r *stealRun) partition(w int, id, size int) {
 		r.push((w+k)%r.opts.Workers, it)
 	}
 	r.process(w, first)
+	return true
 }
 
 func (r *stealRun) complete(w, id int) {
@@ -334,7 +334,7 @@ func (r *stealRun) allocate(it item) {
 			best, bestW = w, load
 		}
 	}
-	r.lists[best] = append(r.lists[best], it)
+	r.lists[best].pushBack(it)
 	r.weights[best] += it.weight
 	r.gauges.worker(best).llAdd(1, it.weight)
 	r.mu.Unlock()

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"evprop/internal/jtree"
 	"evprop/internal/potential"
@@ -86,7 +87,7 @@ type Task struct {
 	Target int // clique written by Multiply / holding the message target
 	Weight float64
 	// Grain is the preferred split alignment (in table entries) for the
-	// scheduler's δ-partitioning: the constant-run length of the task's
+	// partition plan: the constant-run length of the task's
 	// kernel (potential.PartitionGrain), so split points land on run
 	// boundaries and no two pieces reduce into the same destination cell.
 	// 1 for purely contiguous kernels (Divide, Multiply, and Extend/
@@ -102,6 +103,11 @@ type Task struct {
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
+
+	// auto is the automatic partition plan (PlanAuto), nil when none is
+	// attached; explicit caches the plan of the last explicit δ asked for.
+	auto     *Plan
+	explicit atomic.Pointer[Plan]
 }
 
 // taskIdx addresses the 4 collect + 4 distribute tasks of one edge.
