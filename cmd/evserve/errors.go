@@ -24,6 +24,10 @@ import (
 // a request; mapped to 429.
 var errOverloaded = errors.New("evserve: too many in-flight requests")
 
+// errPayloadTooLarge is returned when a JSON request body exceeds
+// maxRequestBytes; mapped to 413.
+var errPayloadTooLarge = errors.New("evserve: request body too large")
+
 // statusClientClosedRequest is nginx's non-standard 499: the client went
 // away before the answer was ready.
 const statusClientClosedRequest = 499
@@ -41,6 +45,7 @@ var errorTable = []errorMapping{
 	{context.Canceled, statusClientClosedRequest, "canceled"},
 	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
 	{errOverloaded, http.StatusTooManyRequests, "overloaded"},
+	{errPayloadTooLarge, http.StatusRequestEntityTooLarge, "payload_too_large"},
 	{registry.ErrNotFound, http.StatusNotFound, "model_not_found"},
 	{registry.ErrNotReady, http.StatusServiceUnavailable, "model_not_ready"},
 	{registry.ErrBadName, http.StatusUnprocessableEntity, "bad_model_name"},

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,6 +27,12 @@ import (
 
 // maxUploadBytes bounds a PUT /v1/models/{name} document.
 const maxUploadBytes = 32 << 20
+
+// maxRequestBytes bounds a JSON request body (query, batch, MPE and
+// d-separation): room for batches of thousands of queries, yet far below
+// the model-upload cap, so no client can make the decoder buffer an
+// unbounded body.
+const maxRequestBytes = 4 << 20
 
 // listResponse is the GET /v1/models body.
 type listResponse struct {
@@ -147,14 +154,20 @@ func (s *server) handleModelReload(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(info)
 }
 
-// readJSON decodes a POST body into dst; on failure it has already
-// answered the request (405 on wrong method, 400 envelope on bad JSON).
+// readJSON decodes a POST body of at most maxRequestBytes into dst; on
+// failure it has already answered the request (405 on wrong method, 413 on
+// an oversize body, 400 envelope on bad JSON).
 func (s *server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, r, fmt.Errorf("%w: limit is %d bytes", errPayloadTooLarge, maxRequestBytes))
+			return false
+		}
 		s.writeErrorCode(w, r, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
 		return false
 	}

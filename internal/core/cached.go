@@ -22,9 +22,15 @@ import (
 // Cached results are *pinned*: their propagation state never returns to
 // the engine's state pool, so any number of concurrent readers may derive
 // posteriors from one shared result while later propagations recycle
-// other states freely. Eviction and invalidation simply drop the pinned
-// result — readers still holding it keep valid immutable data, and the
-// garbage collector reclaims it when the last reader lets go.
+// other states freely. Readers touch only the calibrated clique and
+// separator tables, so an eager result hands its message scratch back to
+// the graph's pool the moment it is pinned: a cache entry retains about a
+// third of the floats a full state holds, and the next miss reuses the
+// scratch instead of allocating its own. Lazy results keep theirs — their
+// distribute pass runs on demand, inside the readers. Eviction and
+// invalidation simply drop the pinned result — readers still holding it
+// keep valid immutable data, and the garbage collector reclaims it when
+// the last reader lets go.
 
 // PropagateCachedContext is PropagateSoftContext through the result cache:
 // a hit returns the shared pinned result of an earlier identical
@@ -79,6 +85,10 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 			return nil, err
 		}
 		res.pinned = true
+		if est, ok := res.state.(*taskgraph.State); ok {
+			// The run completed, so no worker touches the scratch again.
+			est.ReleaseScratch()
+		}
 		e.cache.Add(sig, res, gen)
 		return res, nil
 	})

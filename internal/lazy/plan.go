@@ -124,13 +124,13 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 	// Classify every edge and emit the pruned collect graph. Weights feed
 	// the schedulers' δ-partitioning and the machine cost model, so a
 	// hull-shrunk Marginalize carries its span, not its table size.
-	g := &taskgraph.Graph{Tree: t}
-	add := func(k taskgraph.Kind, edge, source, target int, w float64, grain int) int {
+	g := p.full.NewPruned()
+	add := func(k taskgraph.Kind, edge, source, target int, w float64) int {
 		id := len(g.Tasks)
 		g.Tasks = append(g.Tasks, taskgraph.Task{
 			ID: id, Kind: k, Dir: taskgraph.Collect,
 			Edge: edge, Source: source, Target: target,
-			Weight: w, Grain: grain,
+			Weight: w,
 		})
 		return id
 	}
@@ -173,9 +173,8 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 			continue
 		}
 		sepSize := float64(t.Cliques[c].SepSize())
-		childGrain := potential.PartitionGrain(t.Cliques[c].Vars, t.Cliques[c].Card, t.Cliques[c].SepVars)
-		ep.cm = add(taskgraph.Marginalize, c, c, par, float64(pl.hulls[c].span), childGrain)
-		ep.cd = add(taskgraph.Divide, c, c, par, sepSize, 1)
+		ep.cm = add(taskgraph.Marginalize, c, c, par, float64(pl.hulls[c].span))
+		ep.cd = add(taskgraph.Divide, c, c, par, sepSize)
 		dep(ep.cm, ep.cd)
 		if blocked {
 			ep.collect = edgeBlock
@@ -186,9 +185,8 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 		ep.collect = edgeSend
 		pl.sent++
 		parentSize := float64(t.Cliques[par].TableSize())
-		parentGrain := potential.PartitionGrain(t.Cliques[par].Vars, t.Cliques[par].Card, t.Cliques[c].SepVars)
-		ep.ce = add(taskgraph.Extend, c, c, par, parentSize, parentGrain)
-		ep.cu = add(taskgraph.Multiply, c, c, par, parentSize, 1)
+		ep.ce = add(taskgraph.Extend, c, c, par, parentSize)
+		ep.cu = add(taskgraph.Multiply, c, c, par, parentSize)
 		dep(ep.cd, ep.ce)
 		dep(ep.ce, ep.cu)
 	}
@@ -215,8 +213,10 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 			dep(lastCU, pl.edges[c].cm)
 		}
 	}
-	// Pruned graphs follow the full graph's automatic partition plan, if
-	// the engine attached one.
+	// Kernel plans and grains come from the full graph's shared plans;
+	// pruned graphs follow its automatic partition plan, if the engine
+	// attached one.
+	g.Seal()
 	if p.full.PartitionPlan(0) != nil {
 		g.PlanAuto()
 	}

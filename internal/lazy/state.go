@@ -235,12 +235,16 @@ func (st *State) Execute(id int) error {
 	return nil
 }
 
-// ExecutePiece runs the [lo,hi) slice of a task. Marginalize ranges are
+// ExecutePiece runs the [lo,hi) slice of a task along its stamped kernel
+// plan (the full graph's, shared by every pruned graph). Marginalize ranges are
 // offsets into the source clique's evidence hull; the entries outside it
 // are zero after reduction, so skipping them adds nothing to a sum and
 // never wins a max — bit-identical to the eager full-range kernel.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	t := &st.plan.g.Tasks[id]
+	if t.Align == nil && t.Kind != taskgraph.Divide {
+		return fmt.Errorf("lazy: task %s has no kernel plan", t.String())
+	}
 	switch t.Kind {
 	case taskgraph.Marginalize:
 		if buf == nil {
@@ -250,9 +254,9 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 		src := st.cliqueRO(t.Source)
 		st.flops.Add(int64(hi - lo))
 		if st.mode == taskgraph.MaxProduct {
-			return src.MaxMarginalInto(buf, h.lo+lo, h.lo+hi)
+			return src.MaxMarginalAligned(t.Align, buf, h.lo+lo, h.lo+hi)
 		}
-		return src.MarginalInto(buf, h.lo+lo, h.lo+hi)
+		return src.MarginalAligned(t.Align, buf, h.lo+lo, h.lo+hi)
 	case taskgraph.Divide:
 		if st.plan.edges[t.Edge].collect == edgeBlock {
 			return st.divideBlocked(t.Edge)
@@ -260,10 +264,10 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 		return st.divideRange(t.Edge, lo, hi)
 	case taskgraph.Extend:
 		st.flops.Add(int64(hi - lo))
-		return st.sepNew[t.Edge].ExtendInto(st.temp[t.Edge], lo, hi)
+		return st.sepNew[t.Edge].ExtendAligned(t.Align, st.temp[t.Edge], lo, hi)
 	case taskgraph.Multiply:
 		st.flops.Add(int64(hi - lo))
-		return st.cl[t.Target].MulRange(st.temp[t.Edge], lo, hi)
+		return st.cl[t.Target].MulAligned(t.Align, st.temp[t.Edge], lo, hi)
 	}
 	return fmt.Errorf("lazy: unknown kind %v", t.Kind)
 }
@@ -528,12 +532,16 @@ func (st *State) distributeLocked(c int) error {
 		st.sep[c] = st.cal.sep[c].Clone()
 		st.materialized.Add(int64(st.sep[c].Len()))
 	}
+	marg, ext, mul := st.prop.full.MessagePlans(c, taskgraph.Distribute)
+	if marg == nil || ext == nil || mul == nil {
+		return fmt.Errorf("lazy: edge %d has no kernel plans", c)
+	}
 	h := st.plan.hulls[par]
 	var err error
 	if st.mode == taskgraph.MaxProduct {
-		err = src.MaxMarginalInto(st.sepNew[c], h.lo, h.lo+h.span)
+		err = src.MaxMarginalAligned(marg, st.sepNew[c], h.lo, h.lo+h.span)
 	} else {
-		err = src.MarginalInto(st.sepNew[c], h.lo, h.lo+h.span)
+		err = src.MarginalAligned(marg, st.sepNew[c], h.lo, h.lo+h.span)
 	}
 	if err != nil {
 		return err
@@ -547,12 +555,12 @@ func (st *State) distributeLocked(c int) error {
 		return err
 	}
 	st.materialized.Add(int64(down.Len()))
-	if err := st.sepNew[c].ExtendInto(down, 0, down.Len()); err != nil {
+	if err := st.sepNew[c].ExtendAligned(ext, down, 0, down.Len()); err != nil {
 		return err
 	}
 	st.flops.Add(int64(down.Len()))
 	dst := st.cliqueRW(c)
-	if err := dst.MulRange(down, 0, dst.Len()); err != nil {
+	if err := dst.MulAligned(mul, down, 0, dst.Len()); err != nil {
 		return err
 	}
 	st.flops.Add(int64(dst.Len()))

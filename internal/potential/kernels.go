@@ -1,7 +1,8 @@
 package potential
 
 // Blocked (run-decomposed) kernel bodies for the four node-level primitives
-// plus max-marginalization. Each walks the aligner's run plan over [lo, hi):
+// plus max-marginalization. Each walks an Align's run plan over [lo, hi)
+// through a cursor (aligner) the caller owns:
 // one O(w) seek to the run boundary at or below lo, then per run either a
 // "slice ⊗ scalar" loop (constant runs — the trailing superset variables are
 // absent from the subset, so one subset entry serves the whole run) or a
@@ -19,7 +20,7 @@ package potential
 // to one piece — but correctness never depends on it.
 
 // mulBlocked multiplies p entries [lo, hi) in place by the aligned entries
-// of q. a must be the (p ⊇ q) aligner and the range already validated.
+// of q. a must walk the (p ⊇ q) plan and the range be already validated.
 func (p *Potential) mulBlocked(q *Potential, a *aligner, lo, hi int) {
 	if lo >= hi {
 		return

@@ -105,6 +105,67 @@ func FuzzKernelBlockedVsScalar(f *testing.F) {
 		}
 		bits(e1.Data, e2.Data, "extend")
 
+		// Plan forms: one Align built up front serves every kernel, run as
+		// two pieces split at a fuzzer-chosen point, and must match the
+		// per-call form (and so the scalar reference) bit for bit.
+		a, err := NewAlign(vars, card, sv, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := lo + rng.Intn(hi-lo+1)
+		split := func(name string, run func(lo, hi int) error) {
+			if err := run(lo, mid); err != nil {
+				t.Fatalf("%s [%d,%d): %v", name, lo, mid, err)
+			}
+			if err := run(mid, hi); err != nil {
+				t.Fatalf("%s [%d,%d): %v", name, mid, hi, err)
+			}
+		}
+
+		w1, w2 = p.Clone(), p.Clone()
+		_ = w1.MulRange(q, lo, hi)
+		split("aligned multiply", func(l, h int) error { return w2.MulAligned(a, q, l, h) })
+		bits(w1.Data, w2.Data, "aligned multiply")
+
+		w1, w2 = p.Clone(), p.Clone()
+		_ = w1.DivRange(q, lo, hi)
+		split("aligned divide", func(l, h int) error { return w2.DivAligned(a, q, l, h) })
+		bits(w1.Data, w2.Data, "aligned divide")
+
+		d1, d2 = q.CloneZero(), q.CloneZero()
+		_ = p.MarginalIntoScalar(d1, lo, hi)
+		split("aligned marginalize", func(l, h int) error { return p.MarginalAligned(a, d2, l, h) })
+		bits(d1.Data, d2.Data, "aligned marginalize")
+
+		d1, d2 = q.CloneZero(), q.CloneZero()
+		_ = p.MaxMarginalIntoScalar(d1, lo, hi)
+		split("aligned max-marginalize", func(l, h int) error { return p.MaxMarginalAligned(a, d2, l, h) })
+		bits(d1.Data, d2.Data, "aligned max-marginalize")
+
+		e1, e2 = p.CloneZero(), p.CloneZero()
+		_ = q.ExtendIntoScalar(e1, lo, hi)
+		split("aligned extend", func(l, h int) error { return q.ExtendAligned(a, e2, l, h) })
+		bits(e1.Data, e2.Data, "aligned extend")
+
+		// A table whose domain differs from the plan's — on either side —
+		// must be refused, never paired entry by entry.
+		wide := MustNew(append(append([]int(nil), vars...), n), append(append([]int(nil), card...), 2))
+		for name, err := range map[string]error{
+			"multiply superset":        wide.MulAligned(a, q, 0, 0),
+			"multiply subset":          p.MulAligned(a, wide, 0, 0),
+			"divide superset":          wide.DivAligned(a, q, 0, 0),
+			"marginalize superset":     wide.MarginalAligned(a, q, 0, 0),
+			"marginalize subset":       p.MarginalAligned(a, wide, 0, 0),
+			"max-marginalize subset":   p.MaxMarginalAligned(a, wide, 0, 0),
+			"extend superset":          q.ExtendAligned(a, wide, 0, 0),
+			"extend subset":            wide.ExtendAligned(a, p, 0, 0),
+			"max-marginalize superset": wide.MaxMarginalAligned(a, q, 0, 0),
+		} {
+			if err == nil {
+				t.Fatalf("%s: table over a foreign domain accepted by plan %v onto %v", name, vars, sv)
+			}
+		}
+
 		// ArgMaxConsistent: the strided walk must agree with a brute-force
 		// scan over every entry (first maximum wins under ties — force ties
 		// by quantizing the table).

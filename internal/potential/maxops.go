@@ -32,14 +32,25 @@ func (p *Potential) MaxMarginal(onto []int) (*Potential, error) {
 // combiner folds together with MaxWith. Entries are assumed non-negative
 // (potentials), so a zero initial buffer is an identity.
 func (p *Potential) MaxMarginalInto(dst *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, dst.Vars, dst.Card)
+	a, err := NewAlign(p.Vars, p.Card, dst.Vars, dst.Card)
 	if err != nil {
+		return fmt.Errorf("max-marginal: %w", err)
+	}
+	return p.MaxMarginalAligned(a, dst, lo, hi)
+}
+
+// MaxMarginalAligned is MaxMarginalInto along a prebuilt plan a, which must
+// pair p's domain (superset) with dst's (subset).
+func (p *Potential) MaxMarginalAligned(a *Align, dst *Potential, lo, hi int) error {
+	if err := a.check(p, dst); err != nil {
 		return fmt.Errorf("max-marginal: %w", err)
 	}
 	if err := checkRange(lo, hi, len(p.Data)); err != nil {
 		return fmt.Errorf("max-marginal: %w", err)
 	}
-	p.maxMarginalBlocked(dst, a, lo, hi)
+	var buf [stackDims]int
+	c := a.cursor(&buf)
+	p.maxMarginalBlocked(dst, &c, lo, hi)
 	return nil
 }
 

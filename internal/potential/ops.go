@@ -15,8 +15,12 @@ import (
 //   - Marginalize range subtasks read disjoint slices of the *input* and
 //     accumulate into private zero buffers that the combiner subtask Adds.
 //
-// The public range forms execute the run-decomposed blocked kernels of
-// kernels.go. Each also has a *Scalar variant — the original per-entry
+// Every range form comes in two shapes over one kernel body. The *Aligned
+// forms take a prebuilt run plan (Align) and allocate nothing: they check
+// that the tables carry the plan's domains, keep the odometer on the stack
+// and run the run-decomposed blocked kernels of kernels.go. The plain forms
+// (MulRange, MarginalInto, ...) build the plan for their two tables and call
+// the Aligned form. Each also has a *Scalar variant — the original per-entry
 // odometer walk — retained as the reference implementation: the blocked
 // kernels must match it bit for bit (kernels_fuzz_test.go, runsplit_test.go)
 // and beat it on ns/entry (bench_kernels_test.go, cmd/evkernels).
@@ -27,14 +31,25 @@ func (p *Potential) MulBy(q *Potential) error { return p.MulRange(q, 0, len(p.Da
 // MulRange multiplies entries lo..hi-1 of p in place by the aligned entries
 // of q, whose domain must be a subset of p's.
 func (p *Potential) MulRange(q *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, q.Vars, q.Card)
+	a, err := NewAlign(p.Vars, p.Card, q.Vars, q.Card)
 	if err != nil {
+		return fmt.Errorf("multiply: %w", err)
+	}
+	return p.MulAligned(a, q, lo, hi)
+}
+
+// MulAligned is MulRange along a prebuilt plan a, which must pair p's
+// domain (superset) with q's (subset).
+func (p *Potential) MulAligned(a *Align, q *Potential, lo, hi int) error {
+	if err := a.check(p, q); err != nil {
 		return fmt.Errorf("multiply: %w", err)
 	}
 	if err := checkRange(lo, hi, len(p.Data)); err != nil {
 		return fmt.Errorf("multiply: %w", err)
 	}
-	p.mulBlocked(q, a, lo, hi)
+	var buf [stackDims]int
+	c := a.cursor(&buf)
+	p.mulBlocked(q, &c, lo, hi)
 	return nil
 }
 
@@ -62,14 +77,25 @@ func (p *Potential) DivBy(q *Potential) error { return p.DivRange(q, 0, len(p.Da
 // DivRange divides entries lo..hi-1 of p in place by the aligned entries of
 // q (0/0 = 0), whose domain must be a subset of p's.
 func (p *Potential) DivRange(q *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, q.Vars, q.Card)
+	a, err := NewAlign(p.Vars, p.Card, q.Vars, q.Card)
 	if err != nil {
+		return fmt.Errorf("divide: %w", err)
+	}
+	return p.DivAligned(a, q, lo, hi)
+}
+
+// DivAligned is DivRange along a prebuilt plan a, which must pair p's
+// domain (superset) with q's (subset).
+func (p *Potential) DivAligned(a *Align, q *Potential, lo, hi int) error {
+	if err := a.check(p, q); err != nil {
 		return fmt.Errorf("divide: %w", err)
 	}
 	if err := checkRange(lo, hi, len(p.Data)); err != nil {
 		return fmt.Errorf("divide: %w", err)
 	}
-	p.divBlocked(q, a, lo, hi)
+	var buf [stackDims]int
+	c := a.cursor(&buf)
+	p.divBlocked(q, &c, lo, hi)
 	return nil
 }
 
@@ -116,14 +142,25 @@ func (p *Potential) Marginal(onto []int) (*Potential, error) {
 // be a subset of p's. dst is not cleared: partitioned subtasks accumulate
 // into private zero buffers which a combiner later Adds together.
 func (p *Potential) MarginalInto(dst *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, dst.Vars, dst.Card)
+	a, err := NewAlign(p.Vars, p.Card, dst.Vars, dst.Card)
 	if err != nil {
+		return fmt.Errorf("marginal: %w", err)
+	}
+	return p.MarginalAligned(a, dst, lo, hi)
+}
+
+// MarginalAligned is MarginalInto along a prebuilt plan a, which must pair
+// p's domain (superset) with dst's (subset).
+func (p *Potential) MarginalAligned(a *Align, dst *Potential, lo, hi int) error {
+	if err := a.check(p, dst); err != nil {
 		return fmt.Errorf("marginal: %w", err)
 	}
 	if err := checkRange(lo, hi, len(p.Data)); err != nil {
 		return fmt.Errorf("marginal: %w", err)
 	}
-	p.marginalBlocked(dst, a, lo, hi)
+	var buf [stackDims]int
+	c := a.cursor(&buf)
+	p.marginalBlocked(dst, &c, lo, hi)
 	return nil
 }
 
@@ -189,14 +226,25 @@ func (p *Potential) Extend(vars, card []int) (*Potential, error) {
 // ExtendInto fills entries lo..hi-1 of dst with the aligned entries of p,
 // whose domain must be a subset of dst's.
 func (p *Potential) ExtendInto(dst *Potential, lo, hi int) error {
-	a, err := newAligner(dst.Vars, dst.Card, p.Vars, p.Card)
+	a, err := NewAlign(dst.Vars, dst.Card, p.Vars, p.Card)
 	if err != nil {
+		return fmt.Errorf("extend: %w", err)
+	}
+	return p.ExtendAligned(a, dst, lo, hi)
+}
+
+// ExtendAligned is ExtendInto along a prebuilt plan a, which must pair
+// dst's domain (superset) with p's (subset).
+func (p *Potential) ExtendAligned(a *Align, dst *Potential, lo, hi int) error {
+	if err := a.check(dst, p); err != nil {
 		return fmt.Errorf("extend: %w", err)
 	}
 	if err := checkRange(lo, hi, len(dst.Data)); err != nil {
 		return fmt.Errorf("extend: %w", err)
 	}
-	p.extendBlocked(dst, a, lo, hi)
+	var buf [stackDims]int
+	c := a.cursor(&buf)
+	p.extendBlocked(dst, &c, lo, hi)
 	return nil
 }
 

@@ -93,6 +93,14 @@ type WorkerMetrics struct {
 	KindBusy [taskgraph.NumKinds]time.Duration
 }
 
+// addBusy charges one executed item of primitive kind, which took d, to
+// the worker's computation time.
+func (m *WorkerMetrics) addBusy(kind taskgraph.Kind, d time.Duration) {
+	m.Busy += d
+	m.KindBusy[kind] += d
+	m.Tasks++
+}
+
 // Metrics aggregates a run.
 type Metrics struct {
 	Workers   []WorkerMetrics
@@ -123,6 +131,29 @@ type combiner struct {
 	pending int32
 	mu      sync.Mutex
 	bufs    []*potential.Potential
+}
+
+// combinerPool recycles combiners. A combiner is dead once its combining
+// subtask ran — every piece has finished with it — and a reused one keeps
+// its bufs capacity, so partitioning a task allocates nothing in steady
+// state.
+var combinerPool sync.Pool
+
+func newCombiner(task, pieces int) *combiner {
+	c, _ := combinerPool.Get().(*combiner)
+	if c == nil {
+		c = &combiner{}
+	}
+	c.task, c.pending = task, int32(pieces)
+	return c
+}
+
+// release returns a combiner whose combining subtask ran to the pool,
+// dropping its buffer references.
+func (c *combiner) release() {
+	clear(c.bufs)
+	c.bufs = c.bufs[:0]
+	combinerPool.Put(c)
 }
 
 // localList is a worker's local ready list (LL). Any worker may push (the
@@ -405,7 +436,7 @@ func (r *run) process(w int, it item) {
 	case it.isComb:
 		r.runCombiner(w, it)
 	case it.comb != nil:
-		r.runPiece(w, it)
+		r.runPiece(w, it, r.now())
 	default:
 		// Lines 12–18: partition large tasks, execute small ones whole.
 		if r.partition(w, it.task, r.st.PartitionSize(it.task)) {
@@ -414,20 +445,24 @@ func (r *run) process(w int, it item) {
 		kind := r.g.Tasks[it.task].Kind
 		wg := r.gauges.worker(w)
 		r.labels.apply(kind, wg)
-		t0 := time.Now()
+		t0 := r.now()
 		err := r.st.Execute(it.task)
-		d := time.Since(t0)
-		r.metrics[w].Busy += d
-		r.metrics[w].KindBusy[kind] += d
-		r.metrics[w].Tasks++
-		r.record(w, it.task, kind, 0, -1, false, t0.Sub(r.start), d)
+		t1 := r.now()
+		r.metrics[w].addBusy(kind, t1-t0)
+		r.record(w, it.task, kind, 0, -1, false, t0, t1-t0)
 		if err != nil {
 			r.fail(fmt.Errorf("sched: task %s: %w", r.g.Tasks[it.task].String(), err))
 			return
 		}
-		r.completeTask(w, it.task)
+		r.completeTask(w, it.task, t1)
 	}
 }
+
+// now reads the run's clock: the monotonic offset from the run's start.
+// Every timestamp of a run (metrics and trace events) is one such read,
+// and the reads chain — the read that closes an Execute opens the
+// Allocate after it — so a task costs three reads of the monotonic clock.
+func (r *run) now() time.Duration { return time.Since(r.start) }
 
 // partition splits task id, whose range spans size entries, into the
 // pieces its partition plan sets (line 13) and reports whether it did: the
@@ -438,8 +473,8 @@ func (r *run) partition(w int, id, size int) bool {
 	if n == 0 {
 		return false
 	}
-	tPart := time.Now()
-	comb := &combiner{task: id, pending: int32(n)}
+	tPart := r.now()
+	comb := newCombiner(id, n)
 	atomic.AddInt64(&r.parted, 1)
 	r.gauges.worker(w).partitions.Add(1)
 	var first item
@@ -459,8 +494,9 @@ func (r *run) partition(w int, id, size int) bool {
 		slot := int(atomic.AddUint64(&r.rr, 1) % uint64(len(r.lists)))
 		r.lists[slot].push(it)
 	}
-	r.metrics[w].Overhead += time.Since(tPart)
-	r.runPiece(w, first)
+	t0 := r.now()
+	r.metrics[w].Overhead += t0 - tPart
+	r.runPiece(w, first, t0)
 	return true
 }
 
@@ -471,18 +507,17 @@ func pieceWeight(taskW float64, span, size int) int64 {
 	return int64(taskW*float64(span)/float64(size)) + 1
 }
 
-func (r *run) runPiece(w int, it item) {
+// runPiece executes one piece that starts at run time t0 (the read that
+// closed the preceding Partition, when there was one).
+func (r *run) runPiece(w int, it item, t0 time.Duration) {
 	kind := r.g.Tasks[it.task].Kind
 	wg := r.gauges.worker(w)
 	r.labels.apply(kind, wg)
-	t0 := time.Now()
 	err := r.st.ExecutePiece(it.task, it.lo, it.hi, it.buf)
-	d := time.Since(t0)
-	r.metrics[w].Busy += d
-	r.metrics[w].KindBusy[kind] += d
-	r.metrics[w].Tasks++
+	t1 := r.now()
+	r.metrics[w].addBusy(kind, t1-t0)
 	atomic.AddInt64(&r.pieces, 1)
-	r.record(w, it.task, kind, it.lo, it.hi, false, t0.Sub(r.start), d)
+	r.record(w, it.task, kind, it.lo, it.hi, false, t0, t1-t0)
 	if err != nil {
 		r.fail(fmt.Errorf("sched: piece [%d,%d) of %s: %w", it.lo, it.hi, r.g.Tasks[it.task].String(), err))
 		return
@@ -504,30 +539,29 @@ func (r *run) runCombiner(w int, it item) {
 	kind := r.g.Tasks[it.task].Kind
 	wg := r.gauges.worker(w)
 	r.labels.apply(kind, wg)
-	t0 := time.Now()
+	t0 := r.now()
 	err := r.st.Combine(it.task, it.comb.bufs)
-	d := time.Since(t0)
-	r.metrics[w].Busy += d
-	r.metrics[w].KindBusy[kind] += d
-	r.metrics[w].Tasks++
-	r.record(w, it.task, kind, 0, -1, true, t0.Sub(r.start), d)
+	t1 := r.now()
+	it.comb.release()
+	r.metrics[w].addBusy(kind, t1-t0)
+	r.record(w, it.task, kind, 0, -1, true, t0, t1-t0)
 	if err != nil {
 		r.fail(fmt.Errorf("sched: combine %s: %w", r.g.Tasks[it.task].String(), err))
 		return
 	}
-	r.completeTask(w, it.task)
+	r.completeTask(w, it.task, t1)
 }
 
 // completeTask is the Allocate module (lines 4–10): decrement successor
 // dependency degrees and hand newly ready tasks to the least-loaded list.
-func (r *run) completeTask(w int, id int) {
-	tAlloc := time.Now()
+// tAlloc is the read that closed the task's Execute.
+func (r *run) completeTask(w int, id int, tAlloc time.Duration) {
 	for _, s := range r.g.Tasks[id].Succs {
 		if atomic.AddInt32(&r.deps[s], -1) == 0 {
 			r.allocate(r.wholeItem(s))
 		}
 	}
-	r.metrics[w].Overhead += time.Since(tAlloc)
+	r.metrics[w].Overhead += r.now() - tAlloc
 	r.gauges.worker(w).completed.Add(1)
 	if atomic.AddInt64(&r.remaining, -1) == 0 {
 		r.finish()

@@ -115,6 +115,9 @@ type stealRun struct {
 	labels    *labelSet  // pprof query/kind labels (nil when Options.QueryID == "")
 }
 
+// now reads the run's clock: the monotonic offset from the run's start.
+func (r *stealRun) now() time.Duration { return time.Since(r.start) }
+
 // record appends a trace event to the worker's private buffer.
 func (r *stealRun) record(w, task int, kind taskgraph.Kind, lo, hi int, comb bool, start, dur time.Duration) {
 	if r.tbufs != nil {
@@ -197,9 +200,9 @@ func (r *stealRun) worker(w int) {
 	}()
 	executing := false
 	for {
-		t0 := time.Now()
+		t0 := r.now()
 		it, ok, waited := r.fetch(w)
-		r.metrics[w].Overhead += time.Since(t0)
+		r.metrics[w].Overhead += r.now() - t0
 		if !ok {
 			return
 		}
@@ -226,13 +229,12 @@ func (r *stealRun) process(w int, it item) {
 	case it.isComb:
 		kind := r.g.Tasks[it.task].Kind
 		r.labels.apply(kind, wg)
-		t0 := time.Now()
+		t0 := r.now()
 		err := r.st.Combine(it.task, it.comb.bufs)
-		d := time.Since(t0)
-		r.metrics[w].Busy += d
-		r.metrics[w].KindBusy[kind] += d
-		r.metrics[w].Tasks++
-		r.record(w, it.task, kind, 0, -1, true, t0.Sub(r.start), d)
+		t1 := r.now()
+		it.comb.release()
+		r.metrics[w].addBusy(kind, t1-t0)
+		r.record(w, it.task, kind, 0, -1, true, t0, t1-t0)
 		if err != nil {
 			r.finish(err)
 			return
@@ -241,14 +243,12 @@ func (r *stealRun) process(w int, it item) {
 	case it.comb != nil:
 		kind := r.g.Tasks[it.task].Kind
 		r.labels.apply(kind, wg)
-		t0 := time.Now()
+		t0 := r.now()
 		err := r.st.ExecutePiece(it.task, it.lo, it.hi, it.buf)
-		d := time.Since(t0)
-		r.metrics[w].Busy += d
-		r.metrics[w].KindBusy[kind] += d
-		r.metrics[w].Tasks++
+		t1 := r.now()
+		r.metrics[w].addBusy(kind, t1-t0)
 		atomic.AddInt64(&r.pieces, 1)
-		r.record(w, it.task, kind, it.lo, it.hi, false, t0.Sub(r.start), d)
+		r.record(w, it.task, kind, it.lo, it.hi, false, t0, t1-t0)
 		if err != nil {
 			r.finish(err)
 			return
@@ -268,13 +268,11 @@ func (r *stealRun) process(w int, it item) {
 		}
 		kind := r.g.Tasks[it.task].Kind
 		r.labels.apply(kind, wg)
-		t0 := time.Now()
+		t0 := r.now()
 		err := r.st.Execute(it.task)
-		d := time.Since(t0)
-		r.metrics[w].Busy += d
-		r.metrics[w].KindBusy[kind] += d
-		r.metrics[w].Tasks++
-		r.record(w, it.task, kind, 0, -1, false, t0.Sub(r.start), d)
+		t1 := r.now()
+		r.metrics[w].addBusy(kind, t1-t0)
+		r.record(w, it.task, kind, 0, -1, false, t0, t1-t0)
 		if err != nil {
 			r.finish(err)
 			return
@@ -290,7 +288,7 @@ func (r *stealRun) partition(w int, id, size int) bool {
 	if n == 0 {
 		return false
 	}
-	comb := &combiner{task: id, pending: int32(n)}
+	comb := newCombiner(id, n)
 	atomic.AddInt64(&r.parted, 1)
 	r.gauges.worker(w).partitions.Add(1)
 	var first item

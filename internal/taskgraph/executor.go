@@ -18,10 +18,12 @@ import "evprop/internal/potential"
 //     for tasks that must never be split.
 //   - ExecutePiece(id, lo, hi, buf) runs the [lo,hi) slice of the task.
 //     buf is the piece's private partial-result buffer for reduction tasks
-//     (marginalize), nil for in-place tasks.
-//   - NewPartialBuffer(id) returns a zeroed reduction buffer for one piece
-//     of the task, or nil when the task reduces nothing and pieces may run
-//     in place.
+//     (marginalize), nil for in-place tasks; afterwards it holds exactly
+//     the slice's partial result.
+//   - NewPartialBuffer(id) returns a reduction buffer for one piece of the
+//     task, or nil when the task reduces nothing and pieces may run in
+//     place. Its prior contents do not matter: ExecutePiece overwrites
+//     them. It may be called concurrently, also for one task.
 //   - Combine(id, bufs) folds the partial buffers of a partitioned task
 //     into its destination; it is called exactly once per partitioned task,
 //     after every piece completed, with the buffers in completion order.

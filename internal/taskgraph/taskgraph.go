@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"evprop/internal/jtree"
@@ -95,6 +96,10 @@ type Task struct {
 	// point costs the same. 0 on hand-built graphs means "unknown" and is
 	// treated as 1.
 	Grain int
+	// Align is the kernel's run plan, stamped by Seal from the tree's
+	// domains (see MessagePlans) and shared read-only by every run; nil
+	// for Divide, which runs elementwise over the separator.
+	Align *potential.Align
 	Succs []int
 	NDeps int // number of predecessors
 }
@@ -108,6 +113,51 @@ type Graph struct {
 	// attached; explicit caches the plan of the last explicit δ asked for.
 	auto     *Plan
 	explicit atomic.Pointer[Plan]
+
+	// plans holds the kernel plans of every message over Tree, shared with
+	// the graphs derived by NewPruned; sources lists the tasks with no
+	// predecessors. Seal sets both.
+	plans   *messagePlans
+	sources []int
+
+	// scratch pools the message scratch of this graph's States.
+	scratch sync.Pool
+}
+
+// messagePlans are the kernel run plans of one tree's messages: per edge
+// (child clique id) the child-side and parent-side (clique ⊇ separator)
+// plans, and per clique the identity plan its Multiply tasks walk. err
+// records the first domain pair that did not form a plan (a malformed
+// tree); Validate reports it.
+type messagePlans struct {
+	child, parent []*potential.Align
+	self          []*potential.Align
+	err           error
+}
+
+func newMessagePlans(t *jtree.Tree) *messagePlans {
+	mp := &messagePlans{
+		child:  make([]*potential.Align, t.N()),
+		parent: make([]*potential.Align, t.N()),
+		self:   make([]*potential.Align, t.N()),
+	}
+	plan := func(sup *jtree.Clique, subVars, subCard []int) *potential.Align {
+		a, err := potential.NewAlign(sup.Vars, sup.Card, subVars, subCard)
+		if err != nil && mp.err == nil {
+			mp.err = err
+		}
+		return a
+	}
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		mp.self[i] = plan(c, c.Vars, c.Card)
+		if c.Parent < 0 {
+			continue
+		}
+		mp.child[i] = plan(c, c.SepVars, c.SepCard)
+		mp.parent[i] = plan(&t.Cliques[c.Parent], c.SepVars, c.SepCard)
+	}
+	return mp
 }
 
 // taskIdx addresses the 4 collect + 4 distribute tasks of one edge.
@@ -129,11 +179,11 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 	g := &Graph{Tree: t}
 	idx := make(map[int]taskIdx) // child clique id -> its edge's tasks
 
-	add := func(k Kind, d Direction, edge, source, target int, w float64, grain int) int {
+	add := func(k Kind, d Direction, edge, source, target int, w float64) int {
 		id := len(g.Tasks)
 		g.Tasks = append(g.Tasks, Task{
 			ID: id, Kind: k, Dir: d, Edge: edge, Source: source, Target: target,
-			Weight: w, Grain: grain,
+			Weight: w,
 		})
 		return id
 	}
@@ -152,25 +202,18 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 		childSize := float64(t.Cliques[c].TableSize())
 		parentSize := float64(t.Cliques[p].TableSize())
 		sepSize := float64(t.Cliques[c].SepSize())
-		// Kernel grains: Marginalize and Extend range over a clique table
-		// aligned against the edge's separator, so their grain is the
-		// constant-run length of that (clique ⊇ separator) pair. Divide runs
-		// elementwise over the separator and Multiply multiplies a clique by
-		// a same-domain extension buffer — both purely contiguous, grain 1.
-		childGrain := potential.PartitionGrain(t.Cliques[c].Vars, t.Cliques[c].Card, t.Cliques[c].SepVars)
-		parentGrain := potential.PartitionGrain(t.Cliques[p].Vars, t.Cliques[p].Card, t.Cliques[c].SepVars)
 		ti := taskIdx{
-			cm: add(Marginalize, Collect, c, c, p, childSize, childGrain),
-			cd: add(Divide, Collect, c, c, p, sepSize, 1),
-			ce: add(Extend, Collect, c, c, p, parentSize, parentGrain),
-			cu: add(Multiply, Collect, c, c, p, parentSize, 1),
+			cm: add(Marginalize, Collect, c, c, p, childSize),
+			cd: add(Divide, Collect, c, c, p, sepSize),
+			ce: add(Extend, Collect, c, c, p, parentSize),
+			cu: add(Multiply, Collect, c, c, p, parentSize),
 			dm: -1, dd: -1, de: -1, du: -1,
 		}
 		if withDistribute {
-			ti.dm = add(Marginalize, Distribute, c, p, c, parentSize, parentGrain)
-			ti.dd = add(Divide, Distribute, c, p, c, sepSize, 1)
-			ti.de = add(Extend, Distribute, c, p, c, childSize, childGrain)
-			ti.du = add(Multiply, Distribute, c, p, c, childSize, 1)
+			ti.dm = add(Marginalize, Distribute, c, p, c, parentSize)
+			ti.dd = add(Divide, Distribute, c, p, c, sepSize)
+			ti.de = add(Extend, Distribute, c, p, c, childSize)
+			ti.du = add(Multiply, Distribute, c, p, c, childSize)
 		}
 		// Local chains: M -> D -> E -> U in both directions.
 		dep(ti.cm, ti.cd)
@@ -227,14 +270,84 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 			// multiplies — already precede cm.
 		}
 	}
+	g.Seal()
 	return g
+}
+
+// NewPruned returns an empty graph over g's tree that shares g's kernel
+// plans, for code that assembles a pruned graph by hand (the lazy
+// engine): append tasks and dependencies, then call Seal.
+func (g *Graph) NewPruned() *Graph {
+	return &Graph{Tree: g.Tree, plans: g.plans}
+}
+
+// Seal finishes a graph once its tasks and dependencies are in place: it
+// stamps every task's kernel plan and partition grain from the tree's
+// domains and records the source tasks, so executing a task only reads
+// what the graph already holds. Build calls it; a hand-assembled graph
+// must be sealed before its first run or partition plan, and not changed
+// afterwards.
+//
+// Kernel grains: Marginalize and Extend range over a clique table aligned
+// against the edge's separator, so their grain is the constant-run length
+// of that (clique ⊇ separator) pair. Divide runs elementwise over the
+// separator and Multiply multiplies a clique by a same-domain extension
+// buffer — both purely contiguous, grain 1.
+func (g *Graph) Seal() {
+	if g.plans == nil {
+		g.plans = newMessagePlans(g.Tree)
+	}
+	g.sources = make([]int, 0, len(g.Tasks))
+	cl := g.Tree.Cliques
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		marg, ext, mul := g.MessagePlans(t.Edge, t.Dir)
+		switch t.Kind {
+		case Marginalize:
+			t.Align = marg
+			t.Grain = potential.PartitionGrain(cl[t.Source].Vars, cl[t.Source].Card, cl[t.Edge].SepVars)
+		case Extend:
+			t.Align = ext
+			t.Grain = potential.PartitionGrain(cl[t.Target].Vars, cl[t.Target].Card, cl[t.Edge].SepVars)
+		case Multiply:
+			t.Align, t.Grain = mul, 1
+		default:
+			t.Align, t.Grain = nil, 1
+		}
+		if t.NDeps == 0 {
+			g.sources = append(g.sources, i)
+		}
+	}
+}
+
+// MessagePlans returns the kernel plans of the message over edge (child
+// clique c, its parent) in direction d: the Marginalize plan (sender ⊇
+// separator), the Extend plan (receiver ⊇ separator) and the Multiply plan
+// (receiver ⊇ itself). All are nil before Seal or for a malformed edge.
+func (g *Graph) MessagePlans(c int, d Direction) (marg, ext, mul *potential.Align) {
+	mp := g.plans
+	if mp == nil || c < 0 || c >= len(mp.child) {
+		return nil, nil, nil
+	}
+	if d == Collect {
+		if p := g.Tree.Cliques[c].Parent; p >= 0 {
+			mul = mp.self[p]
+		}
+		return mp.child[c], mp.parent[c], mul
+	}
+	return mp.parent[c], mp.child[c], mp.self[c]
 }
 
 // N returns the number of tasks.
 func (g *Graph) N() int { return len(g.Tasks) }
 
 // Sources returns the ids of tasks with no dependencies (initially ready).
+// On a sealed graph the list is precomputed and shared: callers must not
+// modify it.
 func (g *Graph) Sources() []int {
+	if g.sources != nil {
+		return g.sources
+	}
 	var out []int
 	for i := range g.Tasks {
 		if g.Tasks[i].NDeps == 0 {
@@ -344,6 +457,9 @@ func (g *Graph) Levels() [][]int {
 func (g *Graph) Validate() error {
 	if _, err := g.TopoOrder(); err != nil {
 		return err
+	}
+	if g.plans != nil && g.plans.err != nil {
+		return fmt.Errorf("taskgraph: kernel plans: %w", g.plans.err)
 	}
 	indeg := make([]int, len(g.Tasks))
 	for i := range g.Tasks {
