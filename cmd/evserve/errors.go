@@ -24,8 +24,9 @@ import (
 // a request; mapped to 429.
 var errOverloaded = errors.New("evserve: too many in-flight requests")
 
-// errPayloadTooLarge is returned when a JSON request body exceeds
-// maxRequestBytes; mapped to 413.
+// errPayloadTooLarge is returned when a request exceeds a size limit (a
+// JSON body over maxRequestBytes, a model document over maxUploadBytes, a
+// batch over maxBatchQueries); mapped to 413.
 var errPayloadTooLarge = errors.New("evserve: request body too large")
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went

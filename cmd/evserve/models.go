@@ -34,6 +34,11 @@ const maxUploadBytes = 32 << 20
 // unbounded body.
 const maxRequestBytes = 4 << 20
 
+// maxBatchQueries bounds a /v1/batch request's sub-queries, each of which
+// costs a goroutine and a propagation: a body within maxRequestBytes can
+// still hold hundreds of thousands of empty ones.
+const maxBatchQueries = 1024
+
 // listResponse is the GET /v1/models body.
 type listResponse struct {
 	Models []registry.Info `json:"models"`
@@ -81,8 +86,12 @@ func (s *server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	name := modelFor(r)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
-		s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("model document exceeds %d bytes", maxUploadBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, r, fmt.Errorf("%w: model documents are limited to %d bytes", errPayloadTooLarge, maxUploadBytes))
+			return
+		}
+		s.writeErrorCode(w, r, http.StatusBadRequest, "bad_request", "reading model document: "+err.Error())
 		return
 	}
 	if len(bytes.TrimSpace(body)) == 0 {

@@ -134,6 +134,40 @@ func TestClientSuppliedQueryID(t *testing.T) {
 	}
 }
 
+// TestMPEKeepsQueryID: both propagations of an MPE request — sum-product
+// for P(e) and the max-product one behind the assignment — run under the
+// request's context, so the recorder files both under the client's ID.
+func TestMPEKeepsQueryID(t *testing.T) {
+	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
+	body := bytes.NewReader([]byte(`{"evidence":{"XRay":1,"Smoke":0}}`))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/mpe", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Query-ID", "mpe-id-7")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mpe answered %d", resp.StatusCode)
+	}
+	fr, err := http.Get(ts.URL + "/v1/debug/flightrecorder?id=mpe-id-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump flightRecorderResponse
+	decode(t, fr, &dump)
+	modes := map[string]bool{}
+	for _, rec := range dump.Records {
+		modes[rec.Mode] = true
+	}
+	if !modes["sum-product"] || !modes["max-product"] {
+		t.Errorf("records under the MPE request's ID have modes %v, want sum-product and max-product", modes)
+	}
+}
+
 // TestQueryIDValidation: a client-supplied ID that is oversized or outside
 // the safe charset must not reach the log or the recorder — the server
 // replaces it with a generated one.

@@ -418,6 +418,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
+	if len(req.Queries) > maxBatchQueries {
+		s.writeError(w, r, fmt.Errorf("%w: %d queries, limit is %d", errPayloadTooLarge, len(req.Queries), maxBatchQueries))
+		return
+	}
 	if !s.admit(w, r) {
 		return
 	}
@@ -501,7 +505,7 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 	}
 	defer res.Close()
 	ri.noteRun(res.Metrics())
-	assignment, p, err := res.MPE()
+	assignment, p, err := res.MPEContext(r.Context())
 	if err != nil {
 		s.auditMPE(r.Context(), v, req.Evidence, nil, 0, time.Since(start), err)
 		s.writeError(w, r, err)

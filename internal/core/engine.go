@@ -48,7 +48,7 @@ const (
 	// Centralized uses a dedicated coordinator goroutine.
 	Centralized
 	// WorkStealing is the collaborative scheduler with tail-stealing from
-	// the heaviest ready list (an extension; see sched.RunStealing).
+	// the heaviest ready list (an extension; see sched.NewStealingPool).
 	WorkStealing
 )
 
@@ -159,8 +159,9 @@ type Engine struct {
 	// Options.Lazy is set, nil otherwise.
 	lazyProp *lazy.Prop
 
-	// pool holds the persistent collaborative-scheduler workers, created
-	// lazily on first use so serial engines never spawn goroutines.
+	// pool holds the persistent scheduler workers (in steal mode for the
+	// WorkStealing scheduler), created lazily on first use so serial
+	// engines never spawn goroutines.
 	poolMu     sync.Mutex
 	pool       *sched.Pool
 	poolClosed bool
@@ -183,11 +184,6 @@ type Engine struct {
 	cache     *cache.LRU
 	flight    *cache.Group
 	collapsed atomic.Int64
-
-	// stealGauges is the live gauge surface shared by the work-stealing
-	// scheduler's transient per-run goroutines, so steal/completion counters
-	// accumulate across propagations the way the persistent pool's do.
-	stealGauges *sched.Gauges
 }
 
 // collectEntry caches the collect-only graph toward one target clique plus
@@ -240,9 +236,6 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 		e.cache = cache.NewLRU(opts.CacheSize)
 		e.flight = &cache.Group{}
 	}
-	if opts.Scheduler == WorkStealing {
-		e.stealGauges = sched.NewGauges(opts.Workers)
-	}
 	// Engines dropped without Close would otherwise leak their parked
 	// worker goroutines; the finalizer is the safety net for short-lived
 	// engines in tests and experiments.
@@ -274,7 +267,11 @@ func (e *Engine) workerPool() *sched.Pool {
 		return nil
 	}
 	if e.pool == nil {
-		p, err := sched.NewPool(e.opts.Workers)
+		newPool := sched.NewPool
+		if e.opts.Scheduler == WorkStealing {
+			newPool = sched.NewStealingPool
+		}
+		p, err := newPool(e.opts.Workers)
 		if err != nil {
 			return nil
 		}
@@ -317,9 +314,7 @@ func (e *Engine) Recorder() *obs.FlightRecorder { return e.opts.Recorder }
 // the serial or baseline schedulers report an empty snapshot.
 func (e *Engine) Gauges() sched.GaugesSnapshot {
 	switch e.opts.Scheduler {
-	case WorkStealing:
-		return e.stealGauges.Snapshot()
-	case Collaborative:
+	case Collaborative, WorkStealing:
 		if p := e.workerPool(); p != nil {
 			return p.Gauges().Snapshot()
 		}
@@ -594,7 +589,7 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 	trace := e.opts.Trace || e.opts.Recorder != nil
 	lazy := trace && !e.opts.Trace
 	switch e.opts.Scheduler {
-	case Collaborative:
+	case Collaborative, WorkStealing:
 		opts := sched.Options{
 			Workers:   e.opts.Workers,
 			Threshold: e.opts.PartitionThreshold,
@@ -607,20 +602,11 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		var err error
 		if p := e.workerPool(); p != nil {
 			m, err = p.Run(st, opts)
+		} else if e.opts.Scheduler == WorkStealing {
+			m, err = sched.RunStealing(st, opts)
 		} else {
 			m, err = sched.Run(st, opts)
 		}
-		return e.observeRun(m, err)
-	case WorkStealing:
-		m, err := sched.RunStealing(st, sched.Options{
-			Workers:   e.opts.Workers,
-			Threshold: e.opts.PartitionThreshold,
-			Trace:     trace,
-			LazyTrace: lazy,
-			Ctx:       ctx,
-			QueryID:   queryID,
-			Gauges:    e.stealGauges,
-		})
 		return e.observeRun(m, err)
 	case Serial:
 		_, err := baseline.Serial(st)

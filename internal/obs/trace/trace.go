@@ -131,9 +131,13 @@ type spanSlot struct {
 // Lifecycle invariants (the recycling discipline):
 //   - refs counts the base reference (StartRequest → Finish) plus one per
 //     open span, plus transient guards taken by in-flight StartChild.
-//   - sealed flips once, in Finish, before the base reference drops.
+//   - sealed flips once, in Finish, before the base reference drops, and
+//     stays set until recycle has bumped gen: a starter that sees it clear
+//     either holds a reference taken before the seal (so the arena cannot
+//     recycle under it) or sees the bumped generation.
 //   - the release that takes refs to 0 while sealed recycles the arena,
-//     winning an exclusive CAS on sealed so exactly one goroutine resets.
+//     winning an exclusive CAS on recycling so exactly one goroutine
+//     resets. The election never touches sealed.
 //   - non-atomic fields (id, flags, state, slots) are only touched while
 //     holding a reference, so the reset never races a late writer.
 type Trace struct {
@@ -145,11 +149,12 @@ type Trace struct {
 	// keep reason).
 	head bool
 
-	n       atomic.Int32  // reserved slots
-	refs    atomic.Int32  // base + open spans + in-flight starts
-	sealed  atomic.Bool   // set by Finish; cleared by the recycler's CAS
-	gen     atomic.Uint32 // bumped on recycle; stale handles become inert
-	dropped atomic.Int64  // spans lost to arena overflow
+	n         atomic.Int32  // reserved slots
+	refs      atomic.Int32  // base + open spans + in-flight starts
+	sealed    atomic.Bool   // set by Finish; cleared at the end of recycle
+	recycling atomic.Bool   // the recycler's election flag
+	gen       atomic.Uint32 // bumped on recycle; stale handles become inert
+	dropped   atomic.Int64  // spans lost to arena overflow
 
 	spans [maxSpans]spanSlot
 
@@ -173,16 +178,18 @@ func (t *Trace) Dropped() int64 { return t.dropped.Load() }
 // stale handle's transient guard and the real last release race.
 func (t *Trace) release() {
 	if t.refs.Add(-1) == 0 && t.sealed.Load() {
-		if t.sealed.CompareAndSwap(true, false) {
+		if t.recycling.CompareAndSwap(false, true) {
 			t.recycle()
 		}
 	}
 }
 
 // recycle resets the arena for reuse and returns it to the pool. Runs
-// with refs == 0: nobody holds a live reference, so the plain-field
-// writes cannot race. The generation bump comes first, turning any stale
-// span handle inert before its slot is cleared.
+// with refs == 0 apart from stale starters' transient guards, which fail
+// their sealed check and write nothing. The generation bump comes first,
+// turning any stale span handle inert before its slot is cleared; the
+// seal lifts only after it, so a starter that sees the arena unsealed
+// also sees the new generation.
 func (t *Trace) recycle() {
 	t.gen.Add(1)
 	n := int(t.n.Load())
@@ -198,6 +205,8 @@ func (t *Trace) recycle() {
 	t.flags = 0
 	t.state = ""
 	t.head = false
+	t.sealed.Store(false)
+	t.recycling.Store(false)
 	arenaPool.Put(t)
 }
 

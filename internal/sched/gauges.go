@@ -26,12 +26,13 @@ import (
 type WorkerState int32
 
 const (
-	// WorkerParked: blocked on its empty local list (pool workers park
-	// between runs; stealing workers sleep when no victim has work).
+	// WorkerParked: blocked on its empty local list (workers park between
+	// runs; in steal mode only once no list has work).
 	WorkerParked WorkerState = iota
 	// WorkerFetching: popping the head of its local ready list.
 	WorkerFetching
-	// WorkerStealing: scanning other workers' lists for work to take.
+	// WorkerStealing: scanning other workers' lists for work to take
+	// (steal mode).
 	WorkerStealing
 	// WorkerExecuting: inside a node-level primitive (or a piece of one).
 	WorkerExecuting
@@ -104,9 +105,8 @@ func (g *workerGauges) llWeight() int64 {
 	return g.llPacked.Load() & llWeightMask
 }
 
-// Gauges is the live introspection surface of one scheduler (a Pool, or an
-// engine's sequence of work-stealing runs). All methods are safe for
-// concurrent use; Snapshot never blocks a worker.
+// Gauges is the live introspection surface of one Pool. All methods are
+// safe for concurrent use; Snapshot never blocks a worker.
 type Gauges struct {
 	// submitted and aborted track the global task list: submitted counts
 	// tasks handed to runs, aborted the tasks of failed runs that will
@@ -183,8 +183,8 @@ type WorkerGaugeSnapshot struct {
 	// this worker retired through the Allocate module.
 	Items     int64 `json:"items"`
 	Completed int64 `json:"completed"`
-	// StealAttempts and Steals are the work-stealing scheduler's counters
-	// (zero under the collaborative pool).
+	// StealAttempts and Steals are the steal-mode pool's counters (zero
+	// under the collaborative pool).
 	StealAttempts int64 `json:"steal_attempts"`
 	Steals        int64 `json:"steals"`
 	// Partitions counts tasks this worker split into δ-pieces.

@@ -127,21 +127,28 @@ func TestGaugesSnapshotDuringRuns(t *testing.T) {
 	snaps.Wait()
 }
 
-// TestStealingGaugesAccumulate checks a shared gauge surface accumulates
-// across an engine's successive stealing runs and moves the steal counters.
+// TestStealingGaugesAccumulate checks a steal-mode pool's gauge surface
+// accumulates across successive runs and keeps the steal counters
+// consistent with the runs' metrics.
 func TestStealingGaugesAccumulate(t *testing.T) {
 	g := gaugeTestGraph(t, 40, 9)
-	gauges := NewGauges(4)
+	p, err := NewStealingPool(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var runSteals int64
 	for i := 0; i < 2; i++ {
 		st, err := g.NewState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := RunStealing(st, Options{Workers: 4, Threshold: 8, Gauges: gauges, QueryID: "q-steal"})
+		m, err := p.Run(st, Options{Threshold: 8, QueryID: "q-steal"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := gauges.Snapshot()
+		runSteals += int64(m.Steals)
+		s := p.Gauges().Snapshot()
 		var completed, attempts, steals int64
 		for _, w := range s.Workers {
 			completed += w.Completed
@@ -151,34 +158,14 @@ func TestStealingGaugesAccumulate(t *testing.T) {
 		if want := int64((i + 1) * g.N()); completed != want {
 			t.Errorf("run %d: completed %d, want %d (accumulating)", i, completed, want)
 		}
-		if steals != 0 && attempts < steals {
+		if attempts < steals {
 			t.Errorf("run %d: %d steals but only %d attempts", i, steals, attempts)
 		}
-		if int64(m.Steals) > steals {
-			t.Errorf("run %d: metrics report %d steals, gauges only %d total", i, m.Steals, steals)
+		if runSteals > steals {
+			t.Errorf("run %d: metrics report %d steals, gauges only %d total", i, runSteals, steals)
 		}
 		if s.GlobalDepth != 0 {
 			t.Errorf("run %d: global depth %d, want 0", i, s.GlobalDepth)
-		}
-	}
-}
-
-// TestStealingGaugesSizeMismatch: a wrong-sized surface must not be indexed
-// out of range — RunStealing falls back to a private one.
-func TestStealingGaugesSizeMismatch(t *testing.T) {
-	g := gaugeTestGraph(t, 8, 11)
-	st, err := g.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := NewGauges(1)
-	if _, err := RunStealing(st, Options{Workers: 4, Gauges: small}); err != nil {
-		t.Fatal(err)
-	}
-	s := small.Snapshot()
-	for _, w := range s.Workers {
-		if w.Completed != 0 {
-			t.Error("mismatched surface was written to")
 		}
 	}
 }

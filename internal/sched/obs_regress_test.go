@@ -44,17 +44,20 @@ func TestPartitionRoundRobinWrapAround(t *testing.T) {
 	// and executes only the first piece inline, which never completes the
 	// combiner — exactly the slot-indexing path, with nothing concurrent.
 	gg := NewGauges(3)
+	pool := &Pool{
+		lists:  []*localList{newLocalList(gg.worker(0)), newLocalList(gg.worker(1)), newLocalList(gg.worker(2))},
+		gauges: gg,
+	}
 	r := &run{
 		st:        st,
 		g:         g,
 		opts:      Options{Threshold: δ},
 		deps:      g.DepCounts(),
-		lists:     []*localList{newLocalList(gg.worker(0)), newLocalList(gg.worker(1)), newLocalList(gg.worker(2))},
+		p:         pool,
 		remaining: int64(g.N()),
 		metrics:   make([]WorkerMetrics, 3),
 		done:      make(chan struct{}),
 		start:     time.Now(),
-		gauges:    gg,
 	}
 	// Two increments below the wrap point: the pieces pushed here walk the
 	// cursor across ^uint64(0) → 0.

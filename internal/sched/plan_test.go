@@ -18,13 +18,13 @@ const cacheLineEntries = taskgraph.CacheLineEntries
 // fresh slice every time its head is consumed.
 func TestLocalListSteadyStateNoAllocs(t *testing.T) {
 	gg := NewGauges(1)
-	l := newLocalList(gg.worker(0))
+	p := &Pool{lists: []*localList{newLocalList(gg.worker(0))}, gauges: gg}
 	cycle := func() {
 		for i := 0; i < 5; i++ {
-			l.push(item{task: i, weight: 1})
+			p.push(0, item{task: i, weight: 1})
 		}
 		for i := 0; i < 5; i++ {
-			it, ok, _ := l.fetch(gg.worker(0))
+			it, ok, _ := p.fetch(0)
 			if !ok || it.task != i {
 				t.Fatalf("fetch %d = (%d, %v), want FIFO order", i, it.task, ok)
 			}

@@ -26,6 +26,13 @@
 // busy under concurrent serving load (the throughput regime of Zheng &
 // Mengshoel's belief-update workloads). The one-shot Run helper preserves
 // the original spawn-per-call behavior for benchmarks that want it.
+//
+// A pool built by NewStealingPool runs the work-stealing direction the
+// paper's Section 8 sketches for the many-core era. It changes only Fetch:
+// a worker whose own list is empty takes the tail of the list with the
+// largest weight counter instead of sleeping, and parks only when no list
+// has work. Allocate, Partition and Execute are the same code in both
+// modes.
 package sched
 
 import (
@@ -71,11 +78,6 @@ type Options struct {
 	// profiles segment by query and by primitive. Empty disables labelling
 	// at zero hot-path cost.
 	QueryID string
-	// Gauges optionally accumulates live gauge updates for schedulers that
-	// do not own a persistent pool (RunStealing); pass the same surface on
-	// every run so counters accumulate across propagations. Pool.Run
-	// ignores it in favor of the pool's own gauge surface.
-	Gauges *Gauges
 }
 
 // WorkerMetrics records per-worker accounting for the paper's Fig. 8.
@@ -84,8 +86,8 @@ type WorkerMetrics struct {
 	// time" in the paper).
 	Busy time.Duration
 	// Overhead is the time spent in the Allocate and Partition modules
-	// (lock waits included). Fetch waits are not attributed: pooled
-	// workers park across unrelated runs while idle.
+	// (lock waits included). Fetch is not attributed, in either mode:
+	// pooled workers park and steal across unrelated runs while idle.
 	Overhead time.Duration
 	// Tasks counts executed items (tasks, pieces and combiners).
 	Tasks int
@@ -108,7 +110,7 @@ type Metrics struct {
 	Tasks     int // original graph tasks completed
 	Pieces    int // partitioned pieces executed
 	Partition int // tasks that were partitioned
-	Steals    int // items taken from another worker's list (stealing only)
+	Steals    int // items taken from another worker's list (steal mode only)
 	// Trace is the execution timeline (nil unless Options.Trace).
 	Trace *Trace
 }
@@ -157,9 +159,10 @@ func (c *combiner) release() {
 }
 
 // localList is a worker's local ready list (LL). Any worker may push (the
-// Allocate module), so it is lock-protected. The paper's W_i weight counter
-// lives in the gauge slot's packed LL word, where it doubles as the live
-// queue-weight gauge — one atomic add maintains both.
+// Allocate module) and, in steal mode, pop its tail, so it is
+// lock-protected. The paper's W_i weight counter lives in the gauge slot's
+// packed LL word, where it doubles as the live queue-weight gauge — one
+// atomic add maintains both.
 type localList struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -174,38 +177,16 @@ func newLocalList(g *workerGauges) *localList {
 	return l
 }
 
-func (l *localList) push(it item) {
+// push queues it and signals the owner. It reports whether the item
+// queued behind another one.
+func (l *localList) push(it item) bool {
 	l.mu.Lock()
 	l.items.pushBack(it)
 	l.g.llAdd(1, it.weight)
+	behind := l.items.len() > 1
 	l.mu.Unlock()
 	l.cond.Signal()
-}
-
-// fetch blocks until an item is available or the list is stopped. Queued
-// items are always drained before a stop takes effect. g is the calling
-// worker's gauge slot: fetch keeps the list's depth/weight gauges in step
-// and publishes the parked transition, but only on the slow path — the
-// returned waited flag tells the caller to republish its executing state.
-// A worker draining a hot list therefore performs no state stores at all.
-func (l *localList) fetch(g *workerGauges) (item, bool, bool) {
-	waited := false
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.items.len() > 0 {
-			it := l.items.popFront()
-			l.g.llAdd(-1, -it.weight)
-			return it, true, waited
-		}
-		if l.stopped {
-			return item{}, false, waited
-		}
-		waited = true
-		g.state.Store(int32(WorkerParked))
-		clearLabels(g)
-		l.cond.Wait()
-	}
+	return behind
 }
 
 func (l *localList) stop() {
@@ -223,17 +204,25 @@ func (l *localList) stop() {
 type Pool struct {
 	lists  []*localList
 	gauges *Gauges
+	steal  bool // Fetch falls back to stealing (NewStealingPool)
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
 // NewPool starts workers parked goroutines and returns the pool. Close
 // releases them.
-func NewPool(workers int) (*Pool, error) {
+func NewPool(workers int) (*Pool, error) { return newPool(workers, false) }
+
+// NewStealingPool is NewPool in steal mode: a worker whose own ready list
+// is empty steals the tail of the list with the largest W_i before it
+// parks (the paper's Section 8 direction).
+func NewStealingPool(workers int) (*Pool, error) { return newPool(workers, true) }
+
+func newPool(workers int, steal bool) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sched: need at least 1 worker, got %d", workers)
 	}
-	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers)}
+	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers), steal: steal}
 	for i := range p.lists {
 		p.lists[i] = newLocalList(p.gauges.worker(i))
 	}
@@ -241,18 +230,17 @@ func NewPool(workers int) (*Pool, error) {
 		p.wg.Add(1)
 		go func(w int) {
 			defer p.wg.Done()
-			l := p.lists[w]
 			wg := p.gauges.worker(w)
 			executing := false
 			for {
-				it, ok, waited := l.fetch(wg)
+				it, ok, waited := p.fetch(w)
 				if !ok {
 					wg.state.Store(int32(WorkerParked))
 					return
 				}
 				// Publish the executing state only when it could have
-				// changed (first item, or after a park) — the fast path
-				// stays free of state stores.
+				// changed (first item, or after a park or steal) — the
+				// fast path stays free of state stores.
 				if !executing || waited {
 					wg.state.Store(int32(WorkerExecuting))
 					executing = true
@@ -262,6 +250,108 @@ func NewPool(workers int) (*Pool, error) {
 		}(w)
 	}
 	return p, nil
+}
+
+// fetch is worker w's Fetch module: it pops the head of the worker's own
+// list, blocking until an item is available or the list is stopped. Queued
+// items are always drained before a stop takes effect. In steal mode an
+// empty list sends the worker stealing first, and it parks only when no
+// list has work. fetch publishes the stealing and parked transitions, but
+// only on these slow paths — the returned waited flag tells the caller to
+// republish its executing state. A worker draining a hot list therefore
+// performs no state stores at all.
+func (p *Pool) fetch(w int) (item, bool, bool) {
+	l := p.lists[w]
+	waited, scanned := false, false
+	l.mu.Lock()
+	for {
+		if l.items.len() > 0 {
+			it := l.items.popFront()
+			l.g.llAdd(-1, -it.weight)
+			l.mu.Unlock()
+			return it, true, waited
+		}
+		if l.stopped {
+			l.mu.Unlock()
+			return item{}, false, waited
+		}
+		waited = true
+		if p.steal && !scanned {
+			l.mu.Unlock()
+			if it, ok := p.stealFor(w); ok {
+				return it, true, true
+			}
+			// Recheck the own list under its lock before parking: a push
+			// that landed during the scan signalled nobody yet waiting.
+			scanned = true
+			l.mu.Lock()
+			continue
+		}
+		l.g.state.Store(int32(WorkerParked))
+		clearLabels(l.g)
+		l.cond.Wait()
+		scanned = false
+	}
+}
+
+// stealFor takes, for worker w, the tail item of the other list with the
+// largest W_i. The victim is chosen from the lock-free gauge words, so
+// only the victim's list is locked. It reports false when no list has
+// work.
+func (p *Pool) stealFor(w int) (item, bool) {
+	self := p.lists[w].g
+	self.state.Store(int32(WorkerStealing))
+	self.stealAttempts.Add(1)
+	for {
+		victim, best := -1, int64(-1)
+		for v, l := range p.lists {
+			packed := l.g.llPacked.Load()
+			if v != w && packed>>llDepthShift > 0 && packed&llWeightMask > best {
+				victim, best = v, packed&llWeightMask
+			}
+		}
+		if victim < 0 {
+			return item{}, false
+		}
+		l := p.lists[victim]
+		l.mu.Lock()
+		if l.items.len() == 0 {
+			// Drained since the scan; the gauge word already shows it.
+			l.mu.Unlock()
+			continue
+		}
+		it := l.items.popBack()
+		l.g.llAdd(-1, -it.weight)
+		l.mu.Unlock()
+		self.steals.Add(1)
+		atomic.AddInt64(&it.r.steals, 1)
+		return it, true
+	}
+}
+
+// push hands an item to list i and signals its owner. In steal mode a push
+// onto the list of a busy owner — one that is not parked, or has an item
+// queued before this one — also wakes one parked worker to steal it. That
+// wake is only a latency hint: a worker about to park can miss it, and the
+// owner, which was signalled, still runs the item.
+func (p *Pool) push(i int, it item) {
+	l := p.lists[i]
+	behind := l.push(it)
+	if !p.steal || !behind && l.g.state.Load() == int32(WorkerParked) {
+		return
+	}
+	for k := 1; k < len(p.lists); k++ {
+		t := p.lists[(i+k)%len(p.lists)]
+		if t.g.state.Load() == int32(WorkerParked) {
+			// A worker publishes parked under its list lock, so once the
+			// lock is ours it is inside Wait (or already woken) and the
+			// signal cannot be lost to the gap before Wait.
+			t.mu.Lock()
+			t.mu.Unlock()
+			t.cond.Signal()
+			return
+		}
+	}
 }
 
 // Workers returns the pool size P.
@@ -289,7 +379,7 @@ type run struct {
 	opts      Options
 	ctx       context.Context
 	deps      []int32
-	lists     []*localList
+	p         *Pool
 	remaining int64 // original tasks not yet complete
 	failed    int32
 	// rr is the round-robin cursor for spreading pieces. It is unsigned so
@@ -304,9 +394,9 @@ type run struct {
 	metrics  []WorkerMetrics
 	pieces   int64
 	parted   int64
+	steals   int64
 	start    time.Time
 	tbufs    *traceBufs // per-worker event buffers, merged lazily when tracing
-	gauges   *Gauges    // live gauge surface (never nil in pool runs)
 	labels   *labelSet  // pprof query/kind labels (nil when Options.QueryID == "")
 }
 
@@ -331,11 +421,10 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		opts:      opts,
 		ctx:       opts.Ctx,
 		deps:      g.DepCounts(),
-		lists:     p.lists,
+		p:         p,
 		remaining: int64(g.N()),
 		metrics:   make([]WorkerMetrics, len(p.lists)),
 		done:      make(chan struct{}),
-		gauges:    p.gauges,
 		labels:    newLabelSet(opts.Ctx, opts.QueryID),
 	}
 	start := time.Now()
@@ -353,7 +442,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	p.gauges.runStarted(g.N())
 	// Line 1 of Algorithm 2: distribute the initially ready tasks evenly.
 	for i, id := range g.Sources() {
-		r.lists[i%len(r.lists)].push(r.wholeItem(id))
+		p.push(i%len(p.lists), r.wholeItem(id))
 	}
 	<-r.done
 	// A successful run has remaining == 0; a failed one writes off its
@@ -373,6 +462,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		Tasks:     g.N() - int(atomic.LoadInt64(&r.remaining)),
 		Pieces:    int(atomic.LoadInt64(&r.pieces)),
 		Partition: int(atomic.LoadInt64(&r.parted)),
+		Steals:    int(atomic.LoadInt64(&r.steals)),
 	}
 	if opts.Trace {
 		tr := &Trace{Workers: len(p.lists), Total: m.Elapsed, bufs: r.tbufs}
@@ -396,7 +486,16 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 // transient pool of opts.Workers goroutines, preserving the original
 // spawn-per-call behavior. Long-lived engines should hold a Pool instead.
 func Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
-	p, err := NewPool(opts.Workers)
+	return runOnce(NewPool, st, opts)
+}
+
+// RunStealing is Run on a transient steal-mode pool (NewStealingPool).
+func RunStealing(st taskgraph.Executor, opts Options) (*Metrics, error) {
+	return runOnce(NewStealingPool, st, opts)
+}
+
+func runOnce(newPool func(int) (*Pool, error), st taskgraph.Executor, opts Options) (*Metrics, error) {
+	p, err := newPool(opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +542,7 @@ func (r *run) process(w int, it item) {
 			return
 		}
 		kind := r.g.Tasks[it.task].Kind
-		wg := r.gauges.worker(w)
+		wg := r.p.gauges.worker(w)
 		r.labels.apply(kind, wg)
 		t0 := r.now()
 		err := r.st.Execute(it.task)
@@ -476,7 +575,7 @@ func (r *run) partition(w int, id, size int) bool {
 	tPart := r.now()
 	comb := newCombiner(id, n)
 	atomic.AddInt64(&r.parted, 1)
-	r.gauges.worker(w).partitions.Add(1)
+	r.p.gauges.worker(w).partitions.Add(1)
 	var first item
 	for k := 0; k < n; k++ {
 		lo := k * step
@@ -491,8 +590,8 @@ func (r *run) partition(w int, id, size int) bool {
 			first = it
 			continue
 		}
-		slot := int(atomic.AddUint64(&r.rr, 1) % uint64(len(r.lists)))
-		r.lists[slot].push(it)
+		slot := int(atomic.AddUint64(&r.rr, 1) % uint64(len(r.p.lists)))
+		r.p.push(slot, it)
 	}
 	t0 := r.now()
 	r.metrics[w].Overhead += t0 - tPart
@@ -511,7 +610,7 @@ func pieceWeight(taskW float64, span, size int) int64 {
 // closed the preceding Partition, when there was one).
 func (r *run) runPiece(w int, it item, t0 time.Duration) {
 	kind := r.g.Tasks[it.task].Kind
-	wg := r.gauges.worker(w)
+	wg := r.p.gauges.worker(w)
 	r.labels.apply(kind, wg)
 	err := r.st.ExecutePiece(it.task, it.lo, it.hi, it.buf)
 	t1 := r.now()
@@ -537,7 +636,7 @@ func (r *run) runPiece(w int, it item, t0 time.Duration) {
 
 func (r *run) runCombiner(w int, it item) {
 	kind := r.g.Tasks[it.task].Kind
-	wg := r.gauges.worker(w)
+	wg := r.p.gauges.worker(w)
 	r.labels.apply(kind, wg)
 	t0 := r.now()
 	err := r.st.Combine(it.task, it.comb.bufs)
@@ -562,7 +661,7 @@ func (r *run) completeTask(w int, id int, tAlloc time.Duration) {
 		}
 	}
 	r.metrics[w].Overhead += r.now() - tAlloc
-	r.gauges.worker(w).completed.Add(1)
+	r.p.gauges.worker(w).completed.Add(1)
 	if atomic.AddInt64(&r.remaining, -1) == 0 {
 		r.finish()
 	}
@@ -579,10 +678,10 @@ func (r *run) record(w, task int, kind taskgraph.Kind, lo, hi int, comb bool, st
 // counter (line 7: j = argmin W_t).
 func (r *run) allocate(it item) {
 	best, bestW := 0, int64(1)<<62
-	for i, l := range r.lists {
+	for i, l := range r.p.lists {
 		if w := l.g.llWeight(); w < bestW {
 			best, bestW = i, w
 		}
 	}
-	r.lists[best].push(it)
+	r.p.push(best, it)
 }

@@ -324,6 +324,13 @@ func (r *QueryResult) MutualInformation(x, y string) (float64, error) {
 // The first call runs one max-product propagation (the only derivation
 // that needs a different semiring) and caches it; repeated calls are free.
 func (r *QueryResult) MPE() (map[string]int, float64, error) {
+	return r.MPEContext(context.Background())
+}
+
+// MPEContext is MPE with the caller's context: it cancels the max-product
+// propagation and carries its query ID and trace span, as PropagateContext
+// does for the sum-product one.
+func (r *QueryResult) MPEContext(ctx context.Context) (map[string]int, float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -337,9 +344,9 @@ func (r *QueryResult) MPE() (map[string]int, float64, error) {
 		var mr *core.Result
 		var err error
 		if r.eng.inner.CacheEnabled() {
-			mr, _, err = r.eng.inner.PropagateMaxCachedContext(context.Background(), r.iev)
+			mr, _, err = r.eng.inner.PropagateMaxCachedContext(ctx, r.iev)
 		} else {
-			mr, err = r.eng.inner.PropagateMax(r.iev)
+			mr, err = r.eng.inner.PropagateMaxContext(ctx, r.iev)
 		}
 		if err != nil {
 			return nil, 0, err
